@@ -10,8 +10,12 @@
 //! ```
 //!
 //! NSPS is time per particle-step, so *lower is better*; the default
-//! threshold fails a >10% slowdown. Exit codes: 0 = no regression,
-//! 1 = regression detected, 2 = usage or I/O error.
+//! threshold fails a >10% slowdown. The candidate file is also gated on
+//! its own: every SoA `float` `soa-fast` Analytical ÷ Precalculated NSPS
+//! pair in it must stay within `ANALYTICAL_RATIO_BOUND` (2.0×; both rows
+//! come from the one process that wrote the file). Exit codes: 0 = no
+//! regression, 1 = regression or ratio over its bound, 2 = usage or I/O
+//! error.
 
 use pic_telemetry::{compare, read_records};
 use std::path::Path;

@@ -15,8 +15,9 @@ use pic_math::constants::LIGHT_VELOCITY;
 use pic_math::{Real, Vec3};
 use pic_particles::{ParticleAccess, SpeciesTable};
 
-/// Vector width of the blocked kernel (AVX-512 double lanes).
-pub const LANES: usize = 8;
+/// Vector width of the blocked kernel (AVX-512 double lanes) — the
+/// field crate's block width, so a kernel block is one sampler block.
+pub use pic_fields::LANES;
 
 /// Blocked Boris pusher over any [`ParticleAccess`] collection.
 ///

@@ -22,13 +22,18 @@
 //! exact vacuum Maxwell solution (the unit tests verify ∇·B = 0,
 //! ∇×E = −(1/c)∂B/∂t and ∇×B = (1/c)∂E/∂t numerically).
 //!
-//! Near the focus the implementation evaluates `f₁(kR)/R` and `f₂(kR)/R²`
-//! through their series forms (`f1_over_x`, `f2_over_x2`), so the field is
-//! finite and smooth at `R = 0` where the closed forms are 0/0.
+//! All three radial factors come from one call,
+//! [`pic_math::special::dipole_radial`]`(kR)`, which returns
+//! `(f₁/u, f₂/u², f₃)` from a single polynomial `sin_cos`. It switches
+//! to fixed-degree series below `kR = 1` with a branch-free select, so
+//! the field is finite and smooth at `R = 0`, where the closed forms are
+//! 0/0. [`BatchSampler::sample_into`] runs the same per-lane body as
+//! [`FieldSampler::sample`] over blocks of [`LANES`] lanes, which
+//! auto-vectorize, plus a scalar tail; the two agree bitwise.
 
-use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB};
+use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB, LANES};
 use pic_math::constants::LIGHT_VELOCITY;
-use pic_math::special::{f1_over_x, f2_over_x2, f3};
+use pic_math::special::dipole_radial;
 use pic_math::tabulated::RadialTable;
 use pic_math::{Real, Vec3};
 
@@ -160,53 +165,111 @@ impl<R: Real> FieldSampler<R> for TabulatedDipoleWave<R> {
     }
 }
 
+/// The time factors of one sample, hoisted out of the lane loop:
+/// `E = e·(f₁/u)·(−y, x, 0)`, `B = b·(f₂/u²)·(xz, yz, z²) − (0, 0, b3·f₃)`.
+struct Phase<R> {
+    /// `2A₀·cos(ωt)·k`.
+    e: R,
+    /// `−2A₀·sin(ωt)·k²`.
+    b: R,
+    /// `2A₀·sin(ωt)`.
+    b3: R,
+}
+
+impl<R: Real> DipoleStandingWave<R> {
+    /// Uses the polynomial `sin_cos`, like the radial factors: the SoA
+    /// fast path samples one block of [`LANES`] per call, so this is
+    /// evaluated once per block.
+    #[inline(always)]
+    fn phase(&self, time: R) -> Phase<R> {
+        let two_a0 = R::TWO * self.amplitude;
+        let (sin_t, cos_t) = (self.omega * time).poly_sin_cos();
+        Phase {
+            e: two_a0 * cos_t * self.k,
+            b: -two_a0 * sin_t * self.k * self.k,
+            b3: two_a0 * sin_t,
+        }
+    }
+
+    /// The per-lane body shared by [`FieldSampler::sample`] and
+    /// [`BatchSampler::sample_into`]. With `u = kR`,
+    /// `f₁(kR)/R = k·f₁(u)/u` and `f₂(kR)/R² = k²·f₂(u)/u²`; the `k`
+    /// factors live in [`Phase`].
+    #[inline(always)]
+    fn lane(&self, ph: &Phase<R>, pos: Vec3<R>) -> EB<R> {
+        let u = self.k * pos.norm2().sqrt();
+        let (f1_u, f2_u2, f3) = dipole_radial(u);
+        let e_coef = ph.e * f1_u;
+        let b_coef = ph.b * f2_u2;
+        EB {
+            e: Vec3::new(-pos.y * e_coef, pos.x * e_coef, R::ZERO),
+            b: Vec3::new(
+                b_coef * pos.x * pos.z,
+                b_coef * pos.y * pos.z,
+                b_coef * pos.z * pos.z - ph.b3 * f3,
+            ),
+        }
+    }
+}
+
 impl<R: Real> FieldSampler<R> for DipoleStandingWave<R> {
     #[inline]
     fn sample(&self, pos: Vec3<R>, time: R) -> EB<R> {
-        let two_a0 = R::TWO * self.amplitude;
-        let (sin_t, cos_t) = (self.omega * time).sin_cos();
-        let r2 = pos.norm2();
-        let u = self.k * r2.sqrt(); // kR
-
-        // E = 2A₀·cos(ωt)·k·(f1(u)/u)·(−y, x, 0); f1(u)/u = f1(kR)/(kR),
-        // so f1(kR)/R = k·f1_over_x(u) — finite at the focus.
-        let e_coef = two_a0 * cos_t * self.k * f1_over_x(u);
-        let e = Vec3::new(-pos.y * e_coef, pos.x * e_coef, R::ZERO);
-
-        // B transverse: −2A₀·sin(ωt)·k²·(f2(u)/u²)·(xz, yz, z²) with the
-        // f3 term added to Bz. f2(kR)/R² = k²·f2_over_x2(u).
-        let b_coef = -two_a0 * sin_t * self.k * self.k * f2_over_x2(u);
-        let b = Vec3::new(
-            b_coef * pos.x * pos.z,
-            b_coef * pos.y * pos.z,
-            b_coef * pos.z * pos.z - two_a0 * sin_t * f3(u),
-        );
-        EB { e, b }
+        self.lane(&self.phase(time), pos)
     }
 }
 
 impl<R: Real> BatchSampler<R> for DipoleStandingWave<R> {
-    /// Straight-line per-lane evaluation. The time-dependent factors
-    /// (`2A₀`, `sin ωt`, `cos ωt`) are loop-invariant pure computations,
-    /// so hoisting them keeps every per-element arithmetic sequence
-    /// bitwise-identical to [`FieldSampler::sample`].
+    /// Full blocks of [`LANES`] lanes run [`DipoleStandingWave::lane`]
+    /// over fixed-size arrays, a loop the compiler vectorizes; the
+    /// `len % LANES` tail runs it lane by lane. The time factors are
+    /// loop-invariant, so every element is bitwise-identical to
+    /// [`FieldSampler::sample`]. Always inlined: the SoA fast path calls
+    /// this once per block of [`LANES`], and inlined into its block loop
+    /// the time factors and constants are hoisted out of that loop
+    /// (9.8 → 3.9 ns per f32 particle called on 8-lane slices).
+    #[inline(always)]
     fn sample_into(&self, xs: &[R], ys: &[R], zs: &[R], time: R, out: &mut EbSlices<'_, R>) {
-        let two_a0 = R::TWO * self.amplitude;
-        let (sin_t, cos_t) = (self.omega * time).sin_cos();
-        // bounds: the runtime slices xs/ys/zs and every EbSlices lane to the
-        // same chunk length, so `i < xs.len()` indexes all of them in range.
-        for i in 0..xs.len() {
-            let (x, y, z) = (xs[i], ys[i], zs[i]);
-            let r2 = Vec3::new(x, y, z).norm2();
-            let u = self.k * r2.sqrt();
-            let e_coef = two_a0 * cos_t * self.k * f1_over_x(u);
-            out.ex[i] = -y * e_coef;
-            out.ey[i] = x * e_coef;
-            out.ez[i] = R::ZERO;
-            let b_coef = -two_a0 * sin_t * self.k * self.k * f2_over_x2(u);
-            out.bx[i] = b_coef * x * z;
-            out.by[i] = b_coef * y * z;
-            out.bz[i] = b_coef * z * z - two_a0 * sin_t * f3(u);
+        let ph = self.phase(time);
+        let (x_blocks, x_tail) = xs.as_chunks::<LANES>();
+        let (y_blocks, y_tail) = ys.as_chunks::<LANES>();
+        let (z_blocks, z_tail) = zs.as_chunks::<LANES>();
+        let blocks = x_blocks.iter().zip(y_blocks).zip(z_blocks);
+        for (b, ((x, y), z)) in blocks.enumerate() {
+            // bounds: `l < LANES` indexes the LANES-sized block arrays.
+            let mut f = [[R::ZERO; LANES]; 6];
+            for l in 0..LANES {
+                let v = self.lane(&ph, Vec3::new(x[l], y[l], z[l]));
+                f[0][l] = v.e.x;
+                f[1][l] = v.e.y;
+                f[2][l] = v.e.z;
+                f[3][l] = v.b.x;
+                f[4][l] = v.b.y;
+                f[5][l] = v.b.z;
+            }
+            let start = b * LANES;
+            let end = start + LANES;
+            // bounds: the runtime slices xs/ys/zs and every EbSlices lane to
+            // the same length, and block `b` ends at or before it.
+            out.ex[start..end].copy_from_slice(&f[0]);
+            out.ey[start..end].copy_from_slice(&f[1]);
+            out.ez[start..end].copy_from_slice(&f[2]);
+            out.bx[start..end].copy_from_slice(&f[3]);
+            out.by[start..end].copy_from_slice(&f[4]);
+            out.bz[start..end].copy_from_slice(&f[5]);
+        }
+        let base = x_blocks.len() * LANES;
+        let tail = x_tail.iter().zip(y_tail).zip(z_tail);
+        for (t, ((&x, &y), &z)) in tail.enumerate() {
+            let f = self.lane(&ph, Vec3::new(x, y, z));
+            let i = base + t;
+            // bounds: `i < xs.len()`, and every EbSlices lane has that length.
+            out.ex[i] = f.e.x;
+            out.ey[i] = f.e.y;
+            out.ez[i] = f.e.z;
+            out.bx[i] = f.b.x;
+            out.by[i] = f.b.y;
+            out.bz[i] = f.b.z;
         }
     }
 }
@@ -365,18 +428,35 @@ mod tests {
         assert!(w.focal_field() < 4.4e13);
     }
 
+    /// kR = 1 is the series/closed-form boundary; the field must be
+    /// continuous through it.
+    fn assert_continuous_across_series_handover<R: Real>(tol: f64) {
+        let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
+        let t = R::from_f64(0.3 / BENCH_OMEGA);
+        let k = w.wave_number().to_f64();
+        let dir = Vec3::new(0.6, 0.5, 0.624695).normalized();
+        let at_u = |u: f64| {
+            let p = dir * (u / k);
+            Vec3::new(R::from_f64(p.x), R::from_f64(p.y), R::from_f64(p.z))
+        };
+        let a = w.sample(at_u(0.999999), t);
+        let b = w.sample(at_u(1.000001), t);
+        let jump = |d: Vec3<R>, v: Vec3<R>| d.norm().to_f64() / (v.norm().to_f64() + 1e-30);
+        let (e_jump, b_jump) = (jump(a.e - b.e, a.e), jump(a.b - b.b, a.b));
+        assert!(
+            e_jump < tol && b_jump < tol,
+            "E, B jump by {e_jump}, {b_jump}"
+        );
+    }
+
     #[test]
     fn continuity_across_series_handover() {
-        // kR = 1 is the series/closed-form boundary; the field must be
-        // continuous through it.
-        let w = wave();
-        let t = 0.3 / BENCH_OMEGA;
-        let k = w.wave_number();
-        let dir = Vec3::new(0.6, 0.5, 0.624695).normalized();
-        let a = w.sample(dir * (0.999999 / k), t);
-        let b = w.sample(dir * (1.000001 / k), t);
-        assert!((a.e - b.e).norm() / (a.e.norm() + 1e-30) < 1e-4);
-        assert!((a.b - b.b).norm() / (a.b.norm() + 1e-30) < 1e-4);
+        assert_continuous_across_series_handover::<f64>(1e-4);
+    }
+
+    #[test]
+    fn continuity_across_series_handover_f32() {
+        assert_continuous_across_series_handover::<f32>(1e-4);
     }
 
     #[test]
@@ -424,44 +504,80 @@ mod tests {
         let _ = DipoleStandingWave::<f64>::new(-1.0, BENCH_OMEGA);
     }
 
+    /// 3·LANES + 7 points: the focus at index 0 (always in a block once
+    /// there is one) and at index 29 (in the tail of the longest slices),
+    /// `u = kR` straddling the series handover at 1 in a block (3..6) and
+    /// in a tail (25..28), the rest spread over the benchmark sphere.
+    fn parity_points<R: Real>() -> Vec<Vec3<R>> {
+        let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
+        let k = w.wave_number().to_f64();
+        let dir = Vec3::new(0.6, -0.5, 0.624695).normalized();
+        let at_u = |u: f64| dir * (u / k);
+        let mut pts: Vec<Vec3<f64>> = (0..3 * LANES + 7)
+            .map(|i| {
+                let t = i as f64 * 0.618_034;
+                let r = 0.6 * BENCH_WAVELENGTH * (t.fract() + 0.05);
+                Vec3::new((3.0 * t).cos(), (5.0 * t).sin(), (7.0 * t).cos()).normalized() * r
+            })
+            .collect();
+        pts[0] = Vec3::zero();
+        pts[29] = Vec3::zero();
+        for (i, u) in [(3, 1.0 - 1e-6), (4, 1.0), (5, 1.0 + 1e-6)] {
+            pts[i] = at_u(u);
+            pts[i + 22] = at_u(u);
+        }
+        pts[6] = Vec3::new(1.0 / k, 0.0, 0.0);
+        pts.iter()
+            .map(|p| Vec3::new(R::from_f64(p.x), R::from_f64(p.y), R::from_f64(p.z)))
+            .collect()
+    }
+
+    /// `sample_into` over the first `n` parity points equals `sample`
+    /// bitwise, lane by lane, for every `n` in `0..=3·LANES+7` — blocks
+    /// and every remainder tail.
     fn assert_batch_matches_scalar<R: Real>(time_scale: f64) {
         let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
-        let pts = test_points();
+        let pts = parity_points::<R>();
         let t = R::from_f64(time_scale / BENCH_OMEGA);
-        let n = pts.len();
-        let xs: Vec<R> = pts.iter().map(|p| R::from_f64(p.x)).collect();
-        let ys: Vec<R> = pts.iter().map(|p| R::from_f64(p.y)).collect();
-        let zs: Vec<R> = pts.iter().map(|p| R::from_f64(p.z)).collect();
-        let mut comp = vec![R::ZERO; 6 * n];
-        let (e_part, b_part) = comp.split_at_mut(3 * n);
-        let (ex, eyz) = e_part.split_at_mut(n);
-        let (ey, ez) = eyz.split_at_mut(n);
-        let (bx, byz) = b_part.split_at_mut(n);
-        let (by, bz) = byz.split_at_mut(n);
-        let mut out = EbSlices {
-            ex,
-            ey,
-            ez,
-            bx,
-            by,
-            bz,
-        };
-        w.sample_into(&xs, &ys, &zs, t, &mut out);
-        for i in 0..n {
-            let f = w.sample(Vec3::new(xs[i], ys[i], zs[i]), t);
-            assert_eq!(out.ex[i], f.e.x, "ex lane {i}");
-            assert_eq!(out.ey[i], f.e.y, "ey lane {i}");
-            assert_eq!(out.ez[i], f.e.z, "ez lane {i}");
-            assert_eq!(out.bx[i], f.b.x, "bx lane {i}");
-            assert_eq!(out.by[i], f.b.y, "by lane {i}");
-            assert_eq!(out.bz[i], f.b.z, "bz lane {i}");
+        for n in 0..=pts.len() {
+            let xs: Vec<R> = pts[..n].iter().map(|p| p.x).collect();
+            let ys: Vec<R> = pts[..n].iter().map(|p| p.y).collect();
+            let zs: Vec<R> = pts[..n].iter().map(|p| p.z).collect();
+            let mut comp = vec![R::from_f64(f64::NAN); 6 * n];
+            let mut cols = comp.chunks_mut(n.max(1));
+            let mut col = || cols.next().unwrap_or_default();
+            let mut out = EbSlices {
+                ex: col(),
+                ey: col(),
+                ez: col(),
+                bx: col(),
+                by: col(),
+                bz: col(),
+            };
+            w.sample_into(&xs, &ys, &zs, t, &mut out);
+            for i in 0..n {
+                let f = w.sample(Vec3::new(xs[i], ys[i], zs[i]), t);
+                let got = [
+                    out.ex[i], out.ey[i], out.ez[i], out.bx[i], out.by[i], out.bz[i],
+                ];
+                let want = [f.e.x, f.e.y, f.e.z, f.b.x, f.b.y, f.b.z];
+                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(g.is_finite(), "n = {n}, lane {i}, component {c}: {g}");
+                    assert_eq!(
+                        g.to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "n = {n}, lane {i}, component {c}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn batched_dipole_sampling_is_bitwise_identical() {
-        assert_batch_matches_scalar::<f64>(0.37);
-        assert_batch_matches_scalar::<f32>(0.37);
-        assert_batch_matches_scalar::<f64>(0.0);
+        for time_scale in [0.37, 0.0] {
+            assert_batch_matches_scalar::<f64>(time_scale);
+            assert_batch_matches_scalar::<f32>(time_scale);
+        }
     }
 }

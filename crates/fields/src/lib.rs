@@ -33,5 +33,5 @@ pub use gaussian_beam::GaussianBeam;
 pub use grid::{EmGrid, InterpOrder, ScalarGrid, Stagger};
 pub use plane_wave::PlaneWave;
 pub use precalc::PrecalculatedFields;
-pub use sampler::{BatchSampler, EbSlices, FieldSampler, EB};
+pub use sampler::{BatchSampler, EbSlices, FieldSampler, EB, LANES};
 pub use uniform::UniformFields;

@@ -49,6 +49,12 @@ impl<R: Real, S: FieldSampler<R> + ?Sized> FieldSampler<R> for &S {
     }
 }
 
+/// Lane width of a field block: the SoA fast path hands
+/// [`BatchSampler::sample_into`] blocks of this many particles, and
+/// samplers with a vectorized body work in blocks of it (8 = the
+/// AVX-512 double lanes of the paper's build).
+pub const LANES: usize = 8;
+
 /// Destination slices for one lane-block of field values, one component
 /// per slice (structure-of-arrays, mirroring `SoaEnsemble`).
 ///

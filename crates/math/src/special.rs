@@ -10,10 +10,23 @@
 //!
 //! with `x = kR`. Near the focus (`x → 0`) the closed forms suffer
 //! catastrophic cancellation — e.g. `f2` subtracts two `O(1/x³)` terms to
-//! produce an `O(x²)` result — so for small `x` we evaluate the power
-//! series instead, iterating the term recurrence to machine precision.
+//! produce an `O(x²)` result — so below [`SERIES_THRESHOLD`] the power
+//! series are used instead.
+//!
+//! Two implementations live here:
+//!
+//! * [`dipole_radial`] — the one the field samplers call. It returns the
+//!   three factors the field needs, `(f₁/x, f₂/x², f₃)`, from a single
+//!   polynomial [`Real::poly_sin_cos`]. It evaluates both the closed
+//!   forms and fixed-degree Horner series (degree per precision) and
+//!   picks one with a select, so it has no branch and a block of lanes
+//!   auto-vectorizes.
+//! * [`f1`], [`f2`], [`f3`], [`j0`] — the reference: libm `sin_cos` and
+//!   the series summed until its terms stop contributing. The golden
+//!   values and the accuracy bound of [`dipole_radial`] are stated
+//!   against these.
 
-use crate::real::Real;
+use crate::real::{horner, Real};
 
 /// Below this argument the series expansions are used instead of the
 /// closed forms. At `x = 1` both branches agree to ~10⁻¹⁴ relative in
@@ -134,35 +147,222 @@ pub fn f3<R: Real>(x: R) -> R {
     }
 }
 
-/// f₁(x)/x, continuous at the focus (limit 1/3). Needed because the dipole
-/// field components divide by `R` (paper Eq. 14).
-#[inline]
-pub fn f1_over_x<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        series(x, R::from_f64(1.0 / 3.0), |n| {
-            ((2 * n + 2) * (2 * n + 5)) as f64
-        })
+/// Taylor coefficients of f₁(x)/x in z = x²: (−1)ⁿ(2n+2)/(2n+3)!.
+const F1_OVER_X: [f64; 9] = [
+    1.0 / 3.0,
+    -1.0 / 30.0,
+    1.0 / 840.0,
+    -1.0 / 45_360.0,
+    1.0 / 3_991_680.0,
+    -1.0 / 518_918_400.0,
+    1.0 / 93_405_312_000.0,
+    -1.0 / 22_230_464_256_000.0,
+    1.0 / 6_758_061_133_824_000.0,
+];
+
+/// Taylor coefficients of f₂(x)/x² in z = x²: 1/15, then the term ratio
+/// −1/((2n+2)(2n+7)).
+const F2_OVER_X2: [f64; 9] = [
+    1.0 / 15.0,
+    -1.0 / 210.0,
+    1.0 / 7_560.0,
+    -1.0 / 498_960.0,
+    1.0 / 51_891_840.0,
+    -1.0 / 7_783_776_000.0,
+    1.0 / 1_587_890_304_000.0,
+    -1.0 / 422_378_820_864_000.0,
+    1.0 / 141_919_283_810_304_000.0,
+];
+
+/// Taylor coefficients of f₃(x) = j₀(x) − j₁(x)/x in z = x²:
+/// (−1)ⁿ(2n+2)²/(2n+3)!.
+const F3: [f64; 9] = [
+    2.0 / 3.0,
+    -2.0 / 15.0,
+    1.0 / 140.0,
+    -1.0 / 5_670.0,
+    1.0 / 399_168.0,
+    -1.0 / 43_243_200.0,
+    1.0 / 6_671_808_000.0,
+    -1.0 / 1_389_404_016_000.0,
+    1.0 / 375_447_840_768_000.0,
+];
+
+/// Series terms kept in single precision. At z = 1 the first dropped
+/// term is below 3·10⁻¹⁰ of the sum in every series (f64 keeps all
+/// nine: the first dropped term is below 2·10⁻¹⁷ of the sum).
+const F32_TERMS: usize = 6;
+
+/// The Taylor series `coefs` in z, keeping [`F32_TERMS`] terms in f32
+/// and all of them in f64.
+#[inline(always)]
+fn taylor<R: Real>(z: R, coefs: &[f64]) -> R {
+    let terms = if R::BYTES == 4 {
+        F32_TERMS
     } else {
-        f1(x) / x
-    }
+        coefs.len()
+    };
+    horner(z, coefs.iter().take(terms).map(|&c| R::from_f64(c)))
 }
 
-/// f₂(x)/x², continuous at the focus (limit 1/15). Needed because the
-/// magnetic components of the dipole field divide by `R²` (paper Eq. 14).
-#[inline]
-pub fn f2_over_x2<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        series(x, R::from_f64(1.0 / 15.0), |n| {
-            ((2 * n + 2) * (2 * n + 7)) as f64
-        })
+/// The three radial factors of the m-dipole field at `u = kR ≥ 0`:
+/// `(f₁(u)/u, f₂(u)/u², f₃(u))`, finite at the focus (limits 1/3, 1/15,
+/// 2/3). The field divides `f₁` by `R` and `f₂` by `R²` (paper Eq. 14).
+///
+/// One [`Real::poly_sin_cos`] feeds the closed forms, written through
+/// the recurrences `f₁ = (j₀ − cos u)/u`, `f₂ = 3f₁/u − j₀`,
+/// `f₃ = j₀ − f₁/u` with `j₀ = sin u/u`. The near-focus series are
+/// evaluated too, and `u <` [`SERIES_THRESHOLD`] selects them. The
+/// closed forms are NaN at `u = 0`; the select discards them there.
+/// No branch, so a loop over a block of lanes auto-vectorizes.
+///
+/// Against the f64 reference [`f1`], [`f2`], [`f3`] the error is within
+/// `96·ε` (f32) and `128·ε` (f64) of each function's envelope
+/// (`1/(3 + u²)`, `1/(15 + u³)`, `1/(1.5 + u)`) for `u ∈ [0, 10⁴]` —
+/// pinned by a property test. The worst case is just above the handover,
+/// where the closed form of f₂ cancels.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::special::{dipole_radial, f1, f2, f3};
+/// let (a, b, c) = dipole_radial(0.0_f32);
+/// assert_eq!((a, b), (1.0 / 3.0, 1.0 / 15.0));
+/// assert!((c - 2.0 / 3.0).abs() < 1e-7);
+/// let (a, b, c) = dipole_radial(2.5_f64);
+/// assert!((a - f1(2.5) / 2.5).abs() < 1e-15);
+/// assert!((b - f2(2.5) / 6.25).abs() < 1e-15);
+/// assert!((c - f3(2.5)).abs() < 1e-15);
+/// ```
+#[inline(always)]
+pub fn dipole_radial<R: Real>(u: R) -> (R, R, R) {
+    let (s, c) = u.poly_sin_cos();
+    let inv = u.recip();
+    let j0 = s * inv;
+    let f1 = (j0 - c) * inv;
+    let f1_over_u = f1 * inv;
+    let closed = (
+        f1_over_u,
+        (R::from_f64(3.0) * f1_over_u - j0) * (inv * inv),
+        j0 - f1_over_u,
+    );
+    let z = u * u;
+    let series = (
+        taylor(z, &F1_OVER_X),
+        taylor(z, &F2_OVER_X2),
+        taylor(z, &F3),
+    );
+    if u < R::from_f64(SERIES_THRESHOLD) {
+        series
     } else {
-        f2(x) / (x * x)
+        closed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Error of [`dipole_radial`] at `u` against the f64 reference, as a
+    /// multiple of ε of `R`, relative to each function's envelope
+    /// (its value at the focus, decaying like the function for large u).
+    fn radial_error_eps<R: Real>(u: R) -> f64 {
+        let x = u.to_f64();
+        let (a, b, c) = dipole_radial(u);
+        let reference = if x == 0.0 {
+            (1.0 / 3.0, 1.0 / 15.0, 2.0 / 3.0)
+        } else {
+            (f1(x) / x, f2(x) / (x * x), f3(x))
+        };
+        let envelope = (
+            1.0 / (3.0 + x * x),
+            1.0 / (15.0 + x * x * x),
+            1.0 / (1.5 + x),
+        );
+        let err = ((a.to_f64() - reference.0).abs() / envelope.0)
+            .max((b.to_f64() - reference.1).abs() / envelope.1)
+            .max((c.to_f64() - reference.2).abs() / envelope.2);
+        err / R::EPSILON.to_f64()
+    }
+
+    /// The stated bound of [`dipole_radial`] in ε of `R`: 96 for f32,
+    /// 128 for f64. The worst case sits just above the handover, where
+    /// the closed form of f₂/u² cancels ~15×. A dense scan of [1, 4]
+    /// measured 56 ε in f32 (the per-function libm path this replaced:
+    /// 69 ε) and 87 ε in f64, where the reference's own closed form
+    /// cancels as much.
+    fn bound_eps<R: Real>() -> f64 {
+        if R::BYTES == 4 {
+            96.0
+        } else {
+            128.0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn dipole_radial_is_within_its_bound(u in 0.0f64..1.0e4, near in 0.0f64..2.0) {
+            for x in [u, near] {
+                let e32 = radial_error_eps(x as f32);
+                let e64 = radial_error_eps(x);
+                prop_assert!(e32 <= bound_eps::<f32>(), "f32 at u = {}: {} ε", x, e32);
+                prop_assert!(e64 <= bound_eps::<f64>(), "f64 at u = {}: {} ε", x, e64);
+            }
+        }
+    }
+
+    #[test]
+    fn dipole_radial_edges_are_within_its_bound() {
+        let one = 1.0_f32;
+        for u in [
+            0.0,
+            one - f32::EPSILON,
+            f32::from_bits(one.to_bits() - 1),
+            one,
+            f32::from_bits(one.to_bits() + 1),
+            one + f32::EPSILON,
+        ] {
+            let e = radial_error_eps(u);
+            assert!(e <= bound_eps::<f32>(), "f32 at u = {u:e}: {e} ε");
+        }
+        let one = 1.0_f64;
+        for u in [
+            0.0,
+            one - f64::EPSILON,
+            f64::from_bits(one.to_bits() - 1),
+            one,
+            f64::from_bits(one.to_bits() + 1),
+            one + f64::EPSILON,
+        ] {
+            let e = radial_error_eps(u);
+            assert!(e <= bound_eps::<f64>(), "f64 at u = {u:e}: {e} ε");
+        }
+    }
+
+    #[test]
+    fn dipole_radial_dense_sweep_is_within_its_bound() {
+        // Cubic spacing: dense near the focus and the handover, sparse far out.
+        let mut worst = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for i in 0..=200_000 {
+            let x = 1.0e4 * (i as f64 / 200_000.0).powi(3);
+            let (e32, e64) = (radial_error_eps(x as f32), radial_error_eps(x));
+            if e32 > worst.0 {
+                worst.0 = e32;
+                worst.1 = x;
+            }
+            if e64 > worst.2 {
+                worst.2 = e64;
+                worst.3 = x;
+            }
+        }
+        assert!(
+            worst.0 <= bound_eps::<f32>() && worst.2 <= bound_eps::<f64>(),
+            "{worst:?}"
+        );
+    }
 
     /// Closed forms evaluated in f64 well away from the cancellation zone.
     fn f1_ref(x: f64) -> f64 {
@@ -190,8 +390,9 @@ mod tests {
         assert_eq!(f1(0.0_f64), 0.0);
         assert_eq!(f2(0.0_f64), 0.0);
         assert!((f3(0.0_f64) - 2.0 / 3.0).abs() < 1e-15);
-        assert!((f1_over_x(0.0_f64) - 1.0 / 3.0).abs() < 1e-15);
-        assert!((f2_over_x2(0.0_f64) - 1.0 / 15.0).abs() < 1e-15);
+        // The closed forms are NaN at the focus; the select must drop them.
+        assert_eq!(dipole_radial(0.0_f64), (1.0 / 3.0, 1.0 / 15.0, 2.0 / 3.0));
+        assert_eq!(dipole_radial(0.0_f32), (1.0 / 3.0, 1.0 / 15.0, 2.0 / 3.0));
         assert_eq!(j0(0.0_f64), 1.0);
     }
 

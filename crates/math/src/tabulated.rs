@@ -11,7 +11,7 @@
 //! measurable accuracy bound.
 
 use crate::real::Real;
-use crate::special::{f1_over_x, f2_over_x2, f3};
+use crate::special::dipole_radial;
 
 /// Linear-interpolation tables of the three dipole radial functions over
 /// `[0, x_max]`.
@@ -45,15 +45,16 @@ impl<R: Real> RadialTable<R> {
         assert!(x_max > 0.0, "RadialTable: non-positive x_max");
         assert!(nodes >= 2, "RadialTable: need at least 2 nodes");
         let dx = x_max / (nodes - 1) as f64;
-        let sample = |f: fn(f64) -> f64| -> Vec<R> {
-            (0..nodes).map(|i| R::from_f64(f(i as f64 * dx))).collect()
-        };
+        let radial: Vec<(f64, f64, f64)> =
+            (0..nodes).map(|i| dipole_radial(i as f64 * dx)).collect();
+        let column =
+            |f: fn(&(f64, f64, f64)) -> f64| radial.iter().map(|r| R::from_f64(f(r))).collect();
         RadialTable {
             x_max: R::from_f64(x_max),
             inv_dx: R::from_f64(1.0 / dx),
-            f1x: sample(f1_over_x::<f64>),
-            f2x2: sample(f2_over_x2::<f64>),
-            f3: sample(f3::<f64>),
+            f1x: column(|r| r.0),
+            f2x2: column(|r| r.1),
+            f3: column(|r| r.2),
         }
     }
 
@@ -106,10 +107,11 @@ impl<R: Real> RadialTable<R> {
         for i in 0..probes {
             let x = (i as f64 + 0.5) / probes as f64 * self.x_max.to_f64();
             let xr = R::from_f64(x);
+            let (f1x, f2x2, f3) = dipole_radial(x);
             worst = worst
-                .max((self.f1_over_x(xr).to_f64() - f1_over_x(x)).abs())
-                .max((self.f2_over_x2(xr).to_f64() - f2_over_x2(x)).abs())
-                .max((self.f3(xr).to_f64() - f3(x)).abs());
+                .max((self.f1_over_x(xr).to_f64() - f1x).abs())
+                .max((self.f2_over_x2(xr).to_f64() - f2x2).abs())
+                .max((self.f3(xr).to_f64() - f3).abs());
         }
         worst
     }
@@ -124,6 +126,7 @@ impl<R: Real> RadialTable<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::special::f3;
 
     #[test]
     fn interpolation_is_accurate_at_fine_resolution() {
@@ -146,7 +149,10 @@ mod tests {
         let dx = 8.0 / 32.0;
         for i in 0..33 {
             let x = i as f64 * dx;
-            assert!((t.f3(x) - f3(x)).abs() < 1e-15, "node {i}");
+            let (f1x, f2x2, f3x) = dipole_radial(x);
+            assert_eq!(t.f1_over_x(x), f1x, "node {i}");
+            assert_eq!(t.f2_over_x2(x), f2x2, "node {i}");
+            assert_eq!(t.f3(x), f3x, "node {i}");
         }
     }
 

@@ -18,8 +18,9 @@
 //!   JSON-lines `BENCH_<label>.json` files.
 //! * [`regress`] — the comparator behind the `regress` binary: loads two
 //!   record files and flags configurations whose steady-state NSPS
-//!   worsened beyond a threshold. This is the regression gate that future
-//!   performance PRs cite as evidence.
+//!   worsened beyond a threshold, and checks the candidate's own
+//!   Analytical ÷ Precalculated ratio against a fixed bound. This is the
+//!   regression gate that future performance PRs cite as evidence.
 //! * [`json`] — the dependency-free JSON reader/writer the schema rides
 //!   on (the workspace builds offline; serde is not available).
 
@@ -33,4 +34,4 @@ pub mod regress;
 
 pub use record::{read_records, write_records, BenchRecord, ThreadStat, SCHEMA_VERSION};
 pub use registry::{Handle, Registry, ThreadTotals};
-pub use regress::{compare, Comparison, RegressReport};
+pub use regress::{compare, Comparison, RatioCheck, RegressReport};
