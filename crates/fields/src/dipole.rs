@@ -34,7 +34,6 @@
 use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB, LANES};
 use pic_math::constants::LIGHT_VELOCITY;
 use pic_math::special::dipole_radial;
-use pic_math::tabulated::RadialTable;
 use pic_math::{Real, Vec3};
 
 /// The standing m-dipole wave of paper Eq. (14), dipole axis along z.
@@ -105,63 +104,6 @@ impl<R: Real> DipoleStandingWave<R> {
     /// Magnitude of **B** at the focus at peak phase: (4/3)·A₀.
     pub fn focal_field(&self) -> R {
         R::from_f64(4.0 / 3.0) * self.amplitude
-    }
-}
-
-impl<R: Real> DipoleStandingWave<R> {
-    /// Builds a tabulated variant of this wave: the radial functions are
-    /// precomputed on `nodes` points out to radius `r_max` (cm) and
-    /// linearly interpolated — trading the sin/cos evaluations of the
-    /// Analytical scenario for two loads and an FMA per function (the
-    /// classic optimization between the paper's two scenarios).
-    pub fn tabulated(&self, r_max: f64, nodes: usize) -> TabulatedDipoleWave<R> {
-        let x_max = self.k.to_f64() * r_max;
-        TabulatedDipoleWave {
-            wave: *self,
-            table: RadialTable::new(x_max, nodes),
-        }
-    }
-}
-
-/// [`DipoleStandingWave`] with table-interpolated radial functions.
-///
-/// Sampling beyond the tabulated radius clamps to the table edge; size
-/// `r_max` generously (the benchmark uses a few wavelengths).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TabulatedDipoleWave<R> {
-    wave: DipoleStandingWave<R>,
-    table: RadialTable<R>,
-}
-
-impl<R: Real> TabulatedDipoleWave<R> {
-    /// The underlying analytical wave.
-    pub fn wave(&self) -> &DipoleStandingWave<R> {
-        &self.wave
-    }
-
-    /// Worst tabulation error of the radial functions (absolute, probed
-    /// at interval midpoints).
-    pub fn table_error(&self, probes: usize) -> f64 {
-        self.table.max_error(probes)
-    }
-}
-
-impl<R: Real> FieldSampler<R> for TabulatedDipoleWave<R> {
-    #[inline]
-    fn sample(&self, pos: Vec3<R>, time: R) -> EB<R> {
-        let w = &self.wave;
-        let two_a0 = R::TWO * w.amplitude;
-        let (sin_t, cos_t) = (w.omega * time).sin_cos();
-        let u = w.k * pos.norm2().sqrt();
-        let e_coef = two_a0 * cos_t * w.k * self.table.f1_over_x(u);
-        let e = Vec3::new(-pos.y * e_coef, pos.x * e_coef, R::ZERO);
-        let b_coef = -two_a0 * sin_t * w.k * w.k * self.table.f2_over_x2(u);
-        let b = Vec3::new(
-            b_coef * pos.x * pos.z,
-            b_coef * pos.y * pos.z,
-            b_coef * pos.z * pos.z - two_a0 * sin_t * self.table.f3(u),
-        );
-        EB { e, b }
     }
 }
 
@@ -474,28 +416,6 @@ mod tests {
             assert!((d.e.x - f.e.x as f64).abs() / scale < 1e-4);
             assert!((d.b.z - f.b.z as f64).abs() / scale < 1e-4);
         }
-    }
-
-    #[test]
-    fn tabulated_wave_matches_analytical() {
-        let w = wave();
-        let tab = w.tabulated(4.0 * BENCH_WAVELENGTH, 16384);
-        assert!(tab.table_error(5000) < 1e-7);
-        let t = 0.37 / BENCH_OMEGA;
-        for pos in test_points() {
-            let exact = w.sample(pos, t);
-            let approx = tab.sample(pos, t);
-            let scale = exact.e.norm().max(exact.b.norm()).max(1e-30);
-            assert!(
-                (exact.e - approx.e).norm() / scale < 1e-6,
-                "E mismatch at {pos}"
-            );
-            assert!(
-                (exact.b - approx.b).norm() / scale < 1e-6,
-                "B mismatch at {pos}"
-            );
-        }
-        assert_eq!(tab.wave(), &w);
     }
 
     #[test]

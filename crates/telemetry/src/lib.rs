@@ -34,4 +34,4 @@ pub mod regress;
 
 pub use record::{read_records, write_records, BenchRecord, ThreadStat, SCHEMA_VERSION};
 pub use registry::{Handle, Registry, ThreadTotals};
-pub use regress::{compare, Comparison, RatioCheck, RegressReport};
+pub use regress::{compare, Comparison, RegressReport};

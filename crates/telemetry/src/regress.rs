@@ -16,7 +16,9 @@ use crate::record::BenchRecord;
 /// Bound on the SoA `float` `soa-fast` Analytical ÷ Precalculated NSPS
 /// ratio of one candidate file. With three libm `sin_cos` calls per
 /// particle the Analytical sampler measured 4.8–5.6×; fused and
-/// vectorized (`pic_math::special::dipole_radial`) it measures 1.3–1.5×.
+/// vectorized (`pic_math::special::dipole_radial`) its medians are
+/// 1.3–1.4× at 2×10⁵ particles × 20 steps × 7 iterations. Much smaller
+/// emits time each row in milliseconds and can cross the bound on noise.
 pub const ANALYTICAL_RATIO_BOUND: f64 = 2.0;
 
 /// The roadmap's target for the same ratio (the paper's Table 2 has
@@ -29,11 +31,7 @@ pub const ANALYTICAL_RATIO_TARGET: f64 = 1.5;
 pub struct RatioCheck {
     /// Key of the Analytical record ([`BenchRecord::key`]).
     pub key: String,
-    /// Steady-state NSPS of the Analytical record.
-    pub analytical_nsps: f64,
-    /// Steady-state NSPS of the matching Precalculated record.
-    pub precalculated_nsps: f64,
-    /// `analytical_nsps / precalculated_nsps`.
+    /// Analytical ÷ Precalculated steady-state NSPS.
     pub ratio: f64,
     /// Whether the ratio exceeds [`ANALYTICAL_RATIO_BOUND`].
     pub exceeded: bool,
@@ -245,8 +243,6 @@ fn analytical_ratios(records: &[BenchRecord]) -> Vec<RatioCheck> {
         };
         out.push(RatioCheck {
             key,
-            analytical_nsps: a.steady_nsps,
-            precalculated_nsps: p.steady_nsps,
             ratio,
             exceeded: ratio.is_nan() || ratio > ANALYTICAL_RATIO_BOUND,
         });
